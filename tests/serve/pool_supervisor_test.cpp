@@ -335,12 +335,35 @@ TEST_F(PoolSupervisorTest, FairQueueAgingStillFeedsThePoolWithoutStarvation) {
   // One admission slot, a low-priority victim behind a stream of
   // high-priority submissions: aging credit must pull the victim through
   // the fair queue into the pool before the stream ends.
+  //
+  // Why the victim finishes by stream position 15 at any session speed
+  // (a = aging_seconds):
+  //  - Effective priority is p + floor(wait / a); pop ties go to the
+  //    older entry.
+  //  - The test sleeps a before every stream submit, so stream entry j is
+  //    enqueued at least (j+1)*a after the victim. From then on the
+  //    victim's credit is at least j+1 above entry j's, so for j >= 8 it
+  //    reaches 9 + entry j's credit and the older victim wins the pop.
+  //    At most stream entries 0..7 are admitted ahead of it.
+  //  - Before submit i the queue holds fewer than max_queued = 4 entries.
+  //    While the victim is among them, at most 2 stream entries wait
+  //    beside it, so at least i-2 <= 8 have been admitted. Hence the
+  //    victim is admitted before submit 11.
+  //  - The single slot frees only when the victim is terminal, so at most
+  //    4 more submits fit into the queue without a pop; submit 15 waits
+  //    for the victim to finish. So victim_done_at <= 15 (16 if a credit
+  //    boundary rounds down), well inside kStream = 24.
   ServeLimits limits = pool_limits(1, 1);
   limits.max_queued = 4;
   limits.aging_seconds = 0.02;
   SessionSupervisor supervisor(dir_, limits);
   supervisor.start();
 
+  // Occupy the slot first so the victim waits in the queue and has to
+  // out-age the stream to be popped.
+  SessionSpec blocker = quick_spec(1, 999);
+  blocker.priority = 9;
+  ASSERT_EQ(supervisor.submit(blocker).admission, Admission::kAccepted);
   SessionSpec victim = quick_spec(1, 7);
   victim.priority = 0;
   const auto victim_submit = supervisor.submit(victim);
@@ -348,24 +371,29 @@ TEST_F(PoolSupervisorTest, FairQueueAgingStillFeedsThePoolWithoutStarvation) {
 
   int victim_done_at = -1;
   constexpr int kStream = 24;
+  const auto pace = std::chrono::duration<double>(limits.aging_seconds);
   for (int i = 0; i < kStream; ++i) {
     SessionSpec noisy = quick_spec(1, 1000 + i);
     noisy.priority = 9;
-    // Keep the queue persistently contended: wait for a slot, then refill.
-    while (true) {
-      const auto submit = supervisor.submit(noisy);
-      if (submit.admission == Admission::kAccepted) break;
-      ASSERT_EQ(submit.admission, Admission::kRejectedBusy);
+    // Keep the queue contended but never full: a higher-priority submit
+    // into a full queue sheds the victim outright (admission control),
+    // which is overload behavior, not the starvation question. Only this
+    // thread submits, so a below-capacity check cannot race into a shed.
+    std::this_thread::sleep_for(pace);
+    while (supervisor.queued_count() >= limits.max_queued) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
+    const auto submit = supervisor.submit(noisy);
+    ASSERT_EQ(submit.admission, Admission::kAccepted) << submit.reason;
     if (victim_done_at < 0 &&
-        is_terminal(supervisor.status(victim_submit.id).state)) {
+        supervisor.status(victim_submit.id).state == SessionState::kDone) {
       victim_done_at = i;
     }
   }
   const SessionStatus victim_status =
       supervisor.wait_terminal(victim_submit.id);
-  EXPECT_EQ(victim_status.state, SessionState::kDone);
+  EXPECT_EQ(victim_status.state, SessionState::kDone)
+      << to_string(victim_status.state);
   // Starvation would mean the victim only ran once the stream drained;
   // aging must have promoted it while high-priority work kept arriving.
   EXPECT_GE(victim_done_at, 0) << "victim did not finish during the stream";

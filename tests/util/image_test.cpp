@@ -4,14 +4,20 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "util/check.hpp"
 
 namespace stormtrack {
 namespace {
 
+/// A path in a directory of the running test's own: tests run
+/// concurrently under `ctest -j`, and each removes its directory when done.
 std::filesystem::path temp_file(const char* name) {
-  return std::filesystem::temp_directory_path() / "stormtrack_image_test" /
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::filesystem::temp_directory_path() /
+         (std::string("stormtrack_image_test_") + test->test_suite_name() +
+          "_" + test->name()) /
          name;
 }
 
