@@ -23,8 +23,8 @@
 /// must submit into it instead of constructing private ThreadPoolExecutors
 /// — N sessions each spawning their own pool multiplies threads by N and
 /// thrashes the cores the shared pool was sized for. The service layer
-/// enforces this (ServeLimits rejects pool_threads > 0 combined with
-/// executor_threads > 0).
+/// follows it by construction: SessionSupervisor wires every session's
+/// pipeline to its one pool and has no per-session executor option.
 
 #include <cstdint>
 

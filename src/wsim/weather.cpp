@@ -121,8 +121,7 @@ void WeatherModel::render_fields() {
   }
 
   // OLR: clear-sky value depressed where cloud water is high (coherent
-  // low-OLR patterns over organized systems, §III). Rows are independent.
-#pragma omp parallel for schedule(static)
+  // low-OLR patterns over organized systems, §III).
   for (int y = 0; y < ny; ++y) {
     for (int x = 0; x < nx; ++x) {
       const double opacity =

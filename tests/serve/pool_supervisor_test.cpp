@@ -1,9 +1,8 @@
-/// Cooperative shared-pool scheduling (ServeLimits::pool_threads > 0):
-/// sessions are tasks that yield at adaptation points, max_active is an
-/// admission bound rather than a thread count, results stay byte-identical
-/// to serial/lane execution on any pool width, retries park instead of
-/// sleeping a thread, the cross-session pricing cache proves its sharing,
-/// and the executor nesting hazard is rejected at construction.
+/// Cooperative shared-pool scheduling (ServeLimits::pool_threads): sessions
+/// are tasks that yield at adaptation points, max_active is an admission
+/// bound rather than a thread count, results stay byte-identical to serial
+/// execution on any pool width, retries park instead of sleeping a thread,
+/// and the cross-session pricing cache proves its sharing.
 
 #include <gtest/gtest.h>
 
@@ -93,8 +92,8 @@ class PoolSupervisorTest : public ::testing::Test {
 
 TEST_F(PoolSupervisorTest, FingerprintsMatchSerialOnEveryPoolWidth) {
   // The cooperative-yield determinism suite: the same three sessions land
-  // on the same per-session fingerprints whether sessions own lanes
-  // (serial reference) or multiplex onto 1, 2, or 8 pool threads.
+  // on the same per-session fingerprints as an inline serial run, whether
+  // they multiplex onto 1, 2, or 8 pool threads.
   const std::vector<SessionSpec> specs = {quick_spec(3, 11), quick_spec(3, 22),
                                           quick_spec(2, 33)};
   std::vector<std::uint64_t> reference;
@@ -126,8 +125,8 @@ TEST_F(PoolSupervisorTest, FingerprintsMatchSerialOnEveryPoolWidth) {
 }
 
 TEST_F(PoolSupervisorTest, MaxActiveIsAnAdmissionBoundNotAThreadCount) {
-  // Twelve sessions live at once on a single worker thread: under lane
-  // scheduling this concurrency would require twelve threads. Round-robin
+  // Twelve sessions live at once on a single worker thread: no thread is
+  // tied to a session, so admission is not bounded by threads. Round-robin
   // slicing keeps all twelve active until the first one finishes, so the
   // all-admitted snapshot is guaranteed to be observable.
   SessionSupervisor supervisor(dir_, pool_limits(1, 12));
@@ -159,8 +158,8 @@ TEST_F(PoolSupervisorTest, MaxActiveIsAnAdmissionBoundNotAThreadCount) {
 
 TEST_F(PoolSupervisorTest, SessionsInterleaveOnOneWorker) {
   // Round-robin slicing: with one worker, a second session makes progress
-  // long before the first (6 intervals) finishes — the lane model would
-  // serialize them whole.
+  // long before the first (6 intervals) finishes instead of waiting for
+  // it whole.
   SessionSupervisor supervisor(dir_, pool_limits(1, 4));
   supervisor.start();
   const auto first = supervisor.submit(quick_spec(6, 11));
@@ -229,12 +228,10 @@ TEST_F(PoolSupervisorTest, SharedPricingIsBitIdenticalToUnshared) {
   supervisor.stop();
 }
 
-TEST_F(PoolSupervisorTest, RejectsPrivateExecutorsAlongsideTheSharedPool) {
-  // The executor nesting hazard: a session pipeline must never spawn a
-  // private ThreadPoolExecutor when a shared pool is configured.
-  ServeLimits limits = pool_limits(2, 4);
-  limits.executor_threads = 2;
-  EXPECT_THROW(SessionSupervisor(dir_, limits), CheckError);
+TEST_F(PoolSupervisorTest, RejectsAPoolWithoutWorkers) {
+  // The pool's workers are the only threads that run sessions: a
+  // zero-width pool could admit sessions but never advance them.
+  EXPECT_THROW(SessionSupervisor(dir_, pool_limits(0, 4)), CheckError);
 }
 
 TEST_F(PoolSupervisorTest, RetriesParkAndQuarantineWithoutALaneThread) {
@@ -252,8 +249,8 @@ TEST_F(PoolSupervisorTest, RetriesParkAndQuarantineWithoutALaneThread) {
   EXPECT_EQ(bad.state, SessionState::kQuarantined);
   EXPECT_EQ(bad.attempts, 2);
   EXPECT_FALSE(bad.error.empty());
-  // The worker the doomed session would have camped on in lane mode kept
-  // serving the healthy session during the parked backoff.
+  // The single worker was not held by the doomed session's backoff: it
+  // kept serving the healthy session while the retry was parked.
   EXPECT_EQ(supervisor.wait_terminal(healthy.id).state, SessionState::kDone);
   EXPECT_EQ(supervisor.metrics().get("server.retries").count, 1);
   EXPECT_EQ(supervisor.metrics().get("server.quarantined").count, 1);

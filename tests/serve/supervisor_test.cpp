@@ -282,6 +282,8 @@ TEST_F(SupervisorTest, DeadlineDuringBackoffCancelsTheSleepPromptly) {
           .count();
   EXPECT_EQ(status.state, SessionState::kFailed);
   EXPECT_NE(status.error.find("backoff"), std::string::npos);
+  // The retry the deadline pre-empted never started: no phantom attempt.
+  EXPECT_EQ(status.attempts, 1);
   // The 30 s backoff must have been interrupted by the 0.3 s budget, not
   // slept to completion.
   EXPECT_LT(elapsed, 10.0);
@@ -289,13 +291,48 @@ TEST_F(SupervisorTest, DeadlineDuringBackoffCancelsTheSleepPromptly) {
   supervisor.stop();
 }
 
+TEST_F(SupervisorTest, ClientCancelDuringBackoffEndsTheParkedRetry) {
+  ServeLimits limits;
+  limits.max_attempts = 3;
+  limits.backoff_seconds = 30.0;  // the retry stays parked until cancelled
+  limits.watchdog_period_seconds = 0.02;
+  SessionSupervisor supervisor(dir_, limits);
+  supervisor.start();
+
+  const auto submit = supervisor.submit(doomed_spec());
+  ASSERT_EQ(submit.admission, Admission::kAccepted);
+  // server.retries is bumped as the failed attempt parks its retry.
+  while (supervisor.metrics().get("server.retries").count < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  (void)supervisor.cancel(submit.id, "operator asked");
+  const SessionStatus status = supervisor.wait_terminal(submit.id);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(status.state, SessionState::kCancelled);
+  EXPECT_EQ(status.error, "cancelled during retry backoff");
+  EXPECT_EQ(status.attempts, 1);
+  EXPECT_LT(elapsed, 10.0);
+  EXPECT_EQ(supervisor.metrics().get("server.cancelled").count, 1);
+  supervisor.stop();
+
+  // The journal holds one started attempt and the cancellation.
+  SessionJournal journal(dir_ / "sessions.stjl", true);
+  EXPECT_EQ(journal.replayed().at(submit.id).attempts, 1);
+  EXPECT_EQ(journal.replayed().at(submit.id).state, SessionState::kCancelled);
+}
+
 TEST_F(SupervisorTest, SubmitWakesALaneEvenWithTheWatchdogParked) {
   ServeLimits limits;
   limits.max_active = 1;
+  limits.pool_threads = 1;
   // Park the watchdog in an hour-long sleep. A submit emits exactly one
-  // notification, which must reach the single lane — the watchdog sleeps
-  // on its own condition variable and cannot swallow it. Before the split
-  // this hung ~half the time; run a few rounds so a regression is loud.
+  // notification, which must reach the single pool worker — the watchdog
+  // sleeps on its own condition variable and cannot swallow it. Before the
+  // split this hung ~half the time; run a few rounds so a regression is
+  // loud.
   limits.watchdog_period_seconds = 3600.0;
   SessionSupervisor supervisor(dir_, limits);
   supervisor.start();
@@ -308,7 +345,7 @@ TEST_F(SupervisorTest, SubmitWakesALaneEvenWithTheWatchdogParked) {
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     while (!is_terminal(supervisor.status(submit.id).state)) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "no lane woke for session " << submit.id
+          << "no worker woke for session " << submit.id
           << " — the submit notification was lost";
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
