@@ -45,7 +45,8 @@ void accumulate(std::span<const QCloudInfo> info,
 
 int main() {
   WeatherModel model(WeatherConfig::mumbai_2005(), 0x0f19);
-  const PdaConfig cfg{.analysis_procs = 64};
+  PdaConfig cfg;
+  cfg.analysis_procs = 64;
 
   VariantStats ours, baseline, parallel;
   const int kFields = 40;

@@ -105,7 +105,8 @@ int main(int argc, char** argv) {
     Mesh2D topo(choose_process_grid(n).px, choose_process_grid(n).py);
     RowMajorMapping map(n);
     SimComm comm(topo, map);
-    const PdaConfig ncfg{.analysis_procs = n};
+    PdaConfig ncfg;
+    ncfg.analysis_procs = n;
     const PdaResult r = parallel_data_analysis(files, ncfg, &comm);
     const double analyze = analyze_serial / n;
     const double gather = r.traffic.modeled_time;
@@ -160,7 +161,8 @@ int main(int argc, char** argv) {
   std::vector<double> walls(ncfg, 0.0);
   std::vector<ExecutorStats> before(ncfg);
   std::uint64_t fp_first = 0;
-  PdaConfig pcfg{.analysis_procs = analysis_ranks};
+  PdaConfig pcfg;
+  pcfg.analysis_procs = analysis_ranks;
   for (std::size_t c = 0; c < ncfg; ++c) {
     pools.push_back(std::make_unique<ThreadPoolExecutor>(thread_counts[c]));
     pcfg.executor = pools[c].get();

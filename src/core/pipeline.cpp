@@ -394,20 +394,21 @@ StepOutcome AdaptationPipeline::stage_redistribute(PipelineContext& ctx) {
           ctx.candidates.size(),
           [&](std::size_t ci) {
         PipelineCandidate& c = ctx.candidates[ci];
-        // The message matrices are materialized here — the only stage that
-        // actually moves data — from the still-committed allocation_ (it is
-        // not replaced until after this stage), so the plans are exactly
-        // the moves the pricing stages summarized.
+        // The phases run from the still-committed allocation_ (it is not
+        // replaced until after this stage), so they are exactly the moves
+        // the pricing stages summarized, walked by the same sparse
+        // moved-block enumeration.
         for (const NestSpec& nest : ctx.retained) {
           const auto old_rect = allocation_.find(nest.id);
           const auto new_rect = c.alloc.find(nest.id);
           ST_CHECK_MSG(old_rect && new_rect,
                        "retained nest " << nest.id
                                         << " missing an allocation");
-          const RedistPlan plan = plan_redistribution(
-              nest.shape, *old_rect, *new_rect, machine_->grid_px(),
-              config_.bytes_per_point);
-          c.traffic += machine_->comm().alltoallv(plan.messages);
+          c.traffic += redistribution_phase(nest.shape, *old_rect, *new_rect,
+                                            machine_->grid_px(),
+                                            config_.bytes_per_point,
+                                            machine_->comm())
+                           .traffic;
         }
         c.metrics.actual_redist = c.traffic.modeled_time;
         double actual_max = 0.0;
@@ -513,12 +514,12 @@ void AdaptationPipeline::reallocate_on_view(const std::string& metric_prefix) {
     const auto spec = current_.find(nest_id);
     ST_CHECK_MSG(spec != current_.end(),
                  "nest " << nest_id << " missing from the active map");
-    const RedistPlan plan = plan_redistribution(
+    const RedistMetrics moved = redistribution_phase(
         spec->second.shape, *old_rect, new_rect, machine_->grid_px(),
-        config_.bytes_per_point);
-    traffic += machine_->comm().alltoallv(plan.messages);
-    total_points += plan.total_points;
-    overlap_points += plan.overlap_points;
+        config_.bytes_per_point, machine_->comm());
+    traffic += moved.traffic;
+    total_points += moved.total_points;
+    overlap_points += moved.overlap_points;
   }
   metrics_.add_count(metric_prefix + "_total_points", total_points);
   metrics_.add_count(metric_prefix + "_overlap_points", overlap_points);

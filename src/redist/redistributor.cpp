@@ -34,6 +34,7 @@ RedistCounters redist_counters() {
       s.moved_blocks_enumerated.load(std::memory_order_relaxed);
   out.cost_cache_hits = s.cost_cache_hits.load(std::memory_order_relaxed);
   out.cost_cache_misses = s.cost_cache_misses.load(std::memory_order_relaxed);
+  out.phases_executed = s.phases_executed.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -153,7 +154,7 @@ namespace {
 
 /// One per-dimension (sender block, receiver block) intersection.
 struct AxisEntry {
-  int r = 0;        ///< Receiver part index.
+  int pos = 0;      ///< Receiver's absolute process-grid line.
   int len = 0;      ///< Overlap length (> 0).
   bool diag = false;  ///< Sender and receiver sit on the same grid line.
 };
@@ -214,7 +215,7 @@ void build_axis_pairs(int n, int old_parts, int new_parts, int old_origin,
       const int hi = std::min(span.end(), rs.end());
       if (hi <= lo) continue;  // empty receiver block inside the range
       const bool diag = old_origin + s == new_origin + r;
-      out.entries.push_back(AxisEntry{r, hi - lo, diag});
+      out.entries.push_back(AxisEntry{new_origin + r, hi - lo, diag});
       ++out.pair_count;
       if (diag) {
         ++out.diag_count;
@@ -230,6 +231,84 @@ void build_axis_pairs(int n, int old_parts, int new_parts, int old_origin,
   out.offsets.push_back(static_cast<int>(out.entries.size()));
 }
 
+/// One move factored per axis: the sender decomposition, the column and
+/// row pair lists (thread-local scratch, overwritten by the next move on
+/// the thread) and the closed-form 2-D aggregates. Every (column pair, row
+/// pair) combination is one intersecting (sender, receiver) block with
+/// area clen·rlen, and it is local exactly when both pairs are diagonal.
+struct MoveAxes {
+  BlockDecomposition old_d;
+  const AxisPairs& cols;
+  const AxisPairs& rows;
+  std::int64_t probes = 0;
+
+  [[nodiscard]] std::int64_t overlap_points() const {
+    return cols.diag_len * rows.diag_len;
+  }
+  [[nodiscard]] std::int64_t num_messages() const {
+    return cols.pair_count * rows.pair_count -
+           cols.diag_count * rows.diag_count;
+  }
+};
+
+MoveAxes build_move_axes(const NestShape& nest, const Rect& old_rect,
+                         const Rect& new_rect, int grid_px) {
+  // Same argument validation (and rank arithmetic) as the dense walk.
+  const BlockDecomposition old_d(nest, old_rect, grid_px);
+  [[maybe_unused]] const BlockDecomposition new_d(nest, new_rect, grid_px);
+  thread_local AxisPairs cols;
+  thread_local AxisPairs rows;
+  std::int64_t probes = 0;
+  build_axis_pairs(nest.nx, old_rect.w, new_rect.w, old_rect.x, new_rect.x,
+                   cols, probes);
+  build_axis_pairs(nest.ny, old_rect.h, new_rect.h, old_rect.y, new_rect.y,
+                   rows, probes);
+  return MoveAxes{old_d, cols, rows, probes};
+}
+
+/// The moved-block walk shared by pricing and execution: calls
+/// `fn(sender, receiver, bytes)` for every off-rank block intersection of
+/// the move, in plan_redistribution's exact order — sender cells row-major
+/// (j outer, i inner), so senders arrive ascending and contiguous, and
+/// receivers row-major (rj outer, ri inner) within each sender. Integer
+/// sums and float maxes are order-free, but per-rank float *sums* are not;
+/// this order is what keeps them bit-identical to the materialized plan.
+/// Sender cells whose column and row pairs are all diagonal move nothing
+/// and are skipped wholesale — the identity-move fast path. Returns the
+/// number of blocks visited.
+template <typename Fn>
+std::int64_t for_each_moved_block(const MoveAxes& axes, int bytes_per_point,
+                                  Fn&& fn) {
+  const AxisPairs& cols = axes.cols;
+  const AxisPairs& rows = axes.rows;
+  const int grid_px = axes.old_d.grid_px();
+  std::int64_t moved_blocks = 0;
+  for (const int j : rows.nonempty) {
+    const int rb = rows.offsets[static_cast<std::size_t>(j)];
+    const int re = rows.offsets[static_cast<std::size_t>(j) + 1];
+    const std::vector<int>& col_list =
+        rows.all_diag(j) ? cols.off_diag : cols.nonempty;
+    for (const int i : col_list) {
+      const int cb = cols.offsets[static_cast<std::size_t>(i)];
+      const int ce = cols.offsets[static_cast<std::size_t>(i) + 1];
+      const int sender = axes.old_d.rank_at(i, j);
+      for (int rj = rb; rj < re; ++rj) {
+        const AxisEntry& row_pair = rows.entries[static_cast<std::size_t>(rj)];
+        for (int ci = cb; ci < ce; ++ci) {
+          const AxisEntry& col_pair =
+              cols.entries[static_cast<std::size_t>(ci)];
+          if (row_pair.diag && col_pair.diag) continue;  // local block
+          ++moved_blocks;
+          fn(sender, row_pair.pos * grid_px + col_pair.pos,
+             static_cast<std::int64_t>(col_pair.len) * row_pair.len *
+                 bytes_per_point);
+        }
+      }
+    }
+  }
+  return moved_blocks;
+}
+
 }  // namespace
 
 RedistCostSummary redistribution_cost(const NestShape& nest,
@@ -238,86 +317,83 @@ RedistCostSummary redistribution_cost(const NestShape& nest,
                                       int bytes_per_point,
                                       const SimComm* comm) {
   ST_CHECK_MSG(bytes_per_point > 0, "bytes_per_point must be positive");
-  // Same argument validation (and rank arithmetic) as the dense walk.
-  const BlockDecomposition old_d(nest, old_rect, grid_px);
-  const BlockDecomposition new_d(nest, new_rect, grid_px);
+  const MoveAxes axes = build_move_axes(nest, old_rect, new_rect, grid_px);
 
-  thread_local AxisPairs cols;
-  thread_local AxisPairs rows;
-  std::int64_t probes = 0;
-  build_axis_pairs(nest.nx, old_rect.w, new_rect.w, old_rect.x, new_rect.x,
-                   cols, probes);
-  build_axis_pairs(nest.ny, old_rect.h, new_rect.h, old_rect.y, new_rect.y,
-                   rows, probes);
-
-  // The 2-D aggregates factor over the tensor product: every (column pair,
-  // row pair) combination is one intersecting (sender, receiver) block with
-  // area clen·rlen, and it is local exactly when both pairs are diagonal.
   RedistCostSummary s;
   s.total_points = static_cast<std::int64_t>(nest.nx) * nest.ny;
-  s.overlap_points = cols.diag_len * rows.diag_len;
+  s.overlap_points = axes.overlap_points();
   s.local_bytes = s.overlap_points * bytes_per_point;
   s.total_bytes = (s.total_points - s.overlap_points) * bytes_per_point;
-  s.num_messages =
-      cols.pair_count * rows.pair_count - cols.diag_count * rows.diag_count;
+  s.num_messages = axes.num_messages();
 
   std::int64_t moved_blocks = 0;
   if (comm != nullptr && s.num_messages > 0) {
-    const Topology* topo = &comm->topology();
-    const bool direct = topo->is_direct_network();
-    // Only the moved (off-rank) blocks are enumerated, in the dense walk's
-    // exact order: sender cells row-major (j outer, i inner), receivers
-    // (rj outer, ri inner) within each sender. Integer sums and float maxes
-    // are order-free, but worst_sender_time on switched networks is a
-    // per-sender float *sum* folded into a max — this order is what keeps
-    // it bit-identical to redistribution_cost_dense(). Sender cells whose
-    // column and row pairs are all diagonal move nothing and are skipped
-    // wholesale (a fully-local sender contributes max(·, 0), which the
-    // initial 0.0 already covers) — the identity-move fast path.
-    for (const int j : rows.nonempty) {
-      const int rb = rows.offsets[static_cast<std::size_t>(j)];
-      const int re = rows.offsets[static_cast<std::size_t>(j) + 1];
-      const std::vector<int>& col_list =
-          rows.all_diag(j) ? cols.off_diag : cols.nonempty;
-      for (const int i : col_list) {
-        const int cb = cols.offsets[static_cast<std::size_t>(i)];
-        const int ce = cols.offsets[static_cast<std::size_t>(i) + 1];
-        const int sender = old_d.rank_at(i, j);
-        double sender_sum = 0.0;
-        for (int rj = rb; rj < re; ++rj) {
-          const AxisEntry& row_pair = rows.entries[
-              static_cast<std::size_t>(rj)];
-          for (int ci = cb; ci < ce; ++ci) {
-            const AxisEntry& col_pair = cols.entries[
-                static_cast<std::size_t>(ci)];
-            if (row_pair.diag && col_pair.diag) continue;  // local block
-            ++moved_blocks;
-            const std::int64_t bytes =
-                static_cast<std::int64_t>(col_pair.len) * row_pair.len *
-                bytes_per_point;
-            const int receiver = new_d.rank_at(col_pair.r, row_pair.r);
-            const int h = comm->hops(sender, receiver);
-            s.hop_bytes += bytes * h;
-            s.max_hops = std::max(s.max_hops, h);
-            const double t = topo->pair_time(h, bytes);
-            if (direct)
-              s.worst_pair_time = std::max(s.worst_pair_time, t);
-            else
-              sender_sum += t;
+    const Topology& topo = comm->topology();
+    const bool direct = topo.is_direct_network();
+    // Senders arrive contiguous, so a running (sender, sum) pair folds the
+    // switched-network per-sender sums into the max. A fully-local sender
+    // is never visited; it would contribute max(·, 0), which the initial
+    // 0.0 already covers.
+    int current_sender = -1;
+    double sender_sum = 0.0;
+    moved_blocks = for_each_moved_block(
+        axes, bytes_per_point,
+        [&](int sender, int receiver, std::int64_t bytes) {
+          const int h = comm->hops(sender, receiver);
+          s.hop_bytes += bytes * h;
+          s.max_hops = std::max(s.max_hops, h);
+          const double t = topo.pair_time(h, bytes);
+          if (direct) {
+            s.worst_pair_time = std::max(s.worst_pair_time, t);
+            return;
           }
-        }
-        if (!direct)
-          s.worst_sender_time = std::max(s.worst_sender_time, sender_sum);
-      }
-    }
+          if (sender != current_sender) {
+            s.worst_sender_time = std::max(s.worst_sender_time, sender_sum);
+            sender_sum = 0.0;
+            current_sender = sender;
+          }
+          sender_sum += t;
+        });
+    s.worst_sender_time = std::max(s.worst_sender_time, sender_sum);
   }
 
   auto& counters = detail::redist_counter_state();
   counters.cost_queries.fetch_add(1, std::memory_order_relaxed);
-  counters.intersection_probes.fetch_add(probes, std::memory_order_relaxed);
+  counters.intersection_probes.fetch_add(axes.probes,
+                                         std::memory_order_relaxed);
   counters.moved_blocks_enumerated.fetch_add(moved_blocks,
                                              std::memory_order_relaxed);
   return s;
+}
+
+RedistMetrics redistribution_phase(const NestShape& nest, const Rect& old_rect,
+                                   const Rect& new_rect, int grid_px,
+                                   int bytes_per_point, const SimComm& comm) {
+  ST_CHECK_MSG(bytes_per_point > 0, "bytes_per_point must be positive");
+  const MoveAxes axes = build_move_axes(nest, old_rect, new_rect, grid_px);
+
+  RedistMetrics m;
+  m.total_points = static_cast<std::int64_t>(nest.nx) * nest.ny;
+  m.overlap_points = axes.overlap_points();
+  m.overlap_fraction = m.total_points == 0
+                           ? 0.0
+                           : static_cast<double>(m.overlap_points) /
+                                 static_cast<double>(m.total_points);
+  // Only the moved blocks reach the network; the local ones are exactly
+  // the plan's self messages, which alltoallv would tally as local bytes.
+  AlltoallvPhase phase(comm);
+  if (axes.num_messages() > 0)
+    (void)for_each_moved_block(
+        axes, bytes_per_point, [&](int sender, int receiver,
+                                   std::int64_t bytes) {
+          phase.add(sender, receiver, bytes);
+        });
+  m.traffic = phase.finish();
+  m.traffic.local_bytes = m.overlap_points * bytes_per_point;
+
+  detail::redist_counter_state().phases_executed.fetch_add(
+      1, std::memory_order_relaxed);
+  return m;
 }
 
 Redistributor::Redistributor(const SimComm& comm, int bytes_per_point,
@@ -330,13 +406,8 @@ RedistMetrics Redistributor::redistribute(const NestShape& nest,
                                           const Rect& old_rect,
                                           const Rect& new_rect,
                                           int grid_px) const {
-  const RedistPlan plan = plan_redistribution(nest, old_rect, new_rect,
-                                              grid_px, bytes_per_point_);
-  RedistMetrics m;
-  m.traffic = comm_->alltoallv(plan.messages);
-  m.overlap_fraction = plan.overlap_fraction();
-  m.total_points = plan.total_points;
-  return m;
+  return redistribution_phase(nest, old_rect, new_rect, grid_px,
+                              bytes_per_point_, *comm_);
 }
 
 Grid2D<double> Redistributor::redistribute_field(const Grid2D<double>& field,
@@ -410,6 +481,7 @@ Grid2D<double> Redistributor::redistribute_field(const Grid2D<double>& field,
   if (metrics != nullptr) {
     metrics->traffic = ex.traffic;
     metrics->total_points = static_cast<std::int64_t>(nest.nx) * nest.ny;
+    metrics->overlap_points = overlap_points;
     metrics->overlap_fraction =
         static_cast<double>(overlap_points) /
         static_cast<double>(metrics->total_points);

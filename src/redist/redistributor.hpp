@@ -1,31 +1,33 @@
 #pragma once
 
 /// \file redistributor.hpp
-/// Planning and execution of nest-data redistribution (§IV).
+/// Planning, pricing and execution of nest-data redistribution (§IV).
 ///
 /// When a retained nest's processor rectangle changes, every old owner
 /// (sender) ships to every new owner (receiver) the intersection of their
 /// nest-space regions; the phase runs as one MPI_Alltoallv per nest, with
 /// processors that are neither senders nor receivers contributing zero
 /// counts — exactly the scheme the paper implements inside WRF. This module
-/// computes the sparse message matrix, the paper's Fig. 10/11 metrics
-/// (hop-bytes and sender/receiver data-point overlap), and can execute the
-/// exchange with real payloads for end-to-end validation.
+/// computes the paper's Fig. 10/11 metrics (hop-bytes and sender/receiver
+/// data-point overlap), runs the phase on the simulated network, and can
+/// execute the exchange with real payloads for end-to-end validation.
 ///
-/// Prediction vs movement: candidate *pricing* at an adaptation point only
-/// needs aggregate costs (§IV-C-1), so the hot path uses the streaming
-/// redistribution_cost() — since the decomposition is a tensor product, it
-/// prices from per-dimension block-pair lists built with an interval index
-/// over the receiver blocks (interval_index.hpp), enumerating only the
-/// *moved* (off-rank) intersections: O(moved blocks · log P) instead of the
-/// dense O(senders × receivers) walk, and O(W + H) for the identity moves
-/// diffusion keeps producing. plan_redistribution() (which allocates the
-/// sparse matrix) is reserved for the commit / redistribute stage, where
-/// the messages actually run on the simulated network. The sparse pricing
-/// visits the surviving intersections in for_each_redist_block's exact
-/// order, so its aggregates are bit-identical to the materialized totals —
-/// property-tested against redistribution_cost_dense(), the retained dense
-/// reference walk.
+/// One moved-block walk serves prediction and movement. The decomposition
+/// is a tensor product, so per-dimension block-pair lists built with an
+/// interval index over the receiver blocks (interval_index.hpp) give the
+/// point, byte and message totals in closed form, and only the *moved*
+/// (off-rank) intersections are enumerated: O(moved blocks · log P)
+/// instead of the dense O(senders × receivers) walk, and O(W + H) for the
+/// identity moves diffusion keeps producing. redistribution_cost() folds
+/// that walk into the §IV-C-1 prediction terms for candidate pricing;
+/// redistribution_phase() feeds it, block by block, into an AlltoallvPhase
+/// to run the move — nothing on the adaptation path materializes a message
+/// list. The walk visits the moved blocks in plan_redistribution's exact
+/// order, so both results are bit-identical to the materialized plan:
+/// property-tested against redistribution_cost_dense() (the retained dense
+/// reference walk) and against SimComm::alltoallv(plan_redistribution()).
+/// plan_redistribution() itself remains for the tests and benches that
+/// need the message list.
 
 #include <atomic>
 #include <cstdint>
@@ -45,11 +47,11 @@ namespace stormtrack {
 inline constexpr int kDefaultBytesPerPoint = 150 * 27 * 4;
 
 /// Process-wide instrumentation of the redistribution machinery. The
-/// counters prove (in tests and the perf-smoke CI gate) that candidate
-/// pricing stays allocation-free: a pipeline apply() must bump cost_queries
-/// during pricing and plans_built / messages_materialized only in the
-/// redistribute stage. Relaxed atomics — counts are observability only and
-/// never feed back into results.
+/// counters prove (in tests and the perf-smoke CI gate) that the adaptation
+/// path stays allocation-free: a pipeline apply() bumps cost_queries while
+/// pricing and phases_executed while redistributing, and never bumps
+/// plans_built / messages_materialized. Relaxed atomics — counts are
+/// observability only and never feed back into results.
 struct RedistCounters {
   std::int64_t plans_built = 0;             ///< plan_redistribution() calls.
   std::int64_t messages_materialized = 0;   ///< Message objects pushed.
@@ -69,6 +71,9 @@ struct RedistCounters {
   /// candidate pricing; see cost_cache.hpp).
   std::int64_t cost_cache_hits = 0;
   std::int64_t cost_cache_misses = 0;
+  /// Redistribution phases run on the network by redistribution_phase();
+  /// the pricing counters above never move with it.
+  std::int64_t phases_executed = 0;
 };
 
 /// Snapshot of the process-wide counters (monotonic since process start).
@@ -83,6 +88,7 @@ struct RedistCounterState {
   std::atomic<std::int64_t> moved_blocks_enumerated{0};
   std::atomic<std::int64_t> cost_cache_hits{0};
   std::atomic<std::int64_t> cost_cache_misses{0};
+  std::atomic<std::int64_t> phases_executed{0};
 };
 RedistCounterState& redist_counter_state();
 }  // namespace detail
@@ -214,14 +220,26 @@ struct RedistCostSummary {
     int grid_px, int bytes_per_point = kDefaultBytesPerPoint,
     const SimComm* comm = nullptr);
 
-/// Outcome of pricing/executing one redistribution phase.
+/// Outcome of executing one redistribution phase.
 struct RedistMetrics {
   TrafficReport traffic;            ///< Time/bytes/hop-bytes of the phase.
   double overlap_fraction = 0.0;    ///< Fig. 11 metric.
-  std::int64_t total_points = 0;
+  std::int64_t total_points = 0;    ///< Nest points moved (== nest area).
+  std::int64_t overlap_points = 0;  ///< Points staying on their rank.
 };
 
-/// Prices redistribution phases on a bound communicator.
+/// Run the move from \p old_rect to \p new_rect as one Alltoallv phase on
+/// \p comm without materializing its messages: the moved blocks of the
+/// sparse walk go straight into an AlltoallvPhase, and the points and
+/// local bytes come from the closed-form axis aggregates. Equal,
+/// field for field and bit for bit, to
+/// `comm.alltoallv(plan_redistribution(…).messages)` plus the plan's point
+/// accounting. Bumps phases_executed only. No allocation in steady state.
+[[nodiscard]] RedistMetrics redistribution_phase(
+    const NestShape& nest, const Rect& old_rect, const Rect& new_rect,
+    int grid_px, int bytes_per_point, const SimComm& comm);
+
+/// Runs redistribution phases on a bound communicator.
 class Redistributor {
  public:
   /// \p comm (and \p faults when set) must outlive the redistributor. An
@@ -233,7 +251,8 @@ class Redistributor {
                          int bytes_per_point = kDefaultBytesPerPoint,
                          PayloadFaultHook* faults = nullptr);
 
-  /// Plan + price the move of one nest between processor rectangles.
+  /// Run the move of one nest between processor rectangles
+  /// (redistribution_phase on the bound communicator).
   [[nodiscard]] RedistMetrics redistribute(const NestShape& nest,
                                            const Rect& old_rect,
                                            const Rect& new_rect,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <vector>
 
 namespace stormtrack {
 
@@ -21,9 +21,48 @@ SimComm::SimComm(const Topology& topo, const Mapping& mapping)
   ST_CHECK_MSG(mapping.num_ranks() <= topo.num_nodes(),
                "mapping places " << mapping.num_ranks() << " ranks on "
                                  << topo.num_nodes() << " nodes");
+  rank_node_.reserve(static_cast<std::size_t>(mapping.num_ranks()));
+  for (int r = 0; r < mapping.num_ranks(); ++r)
+    rank_node_.push_back(mapping.node_of_rank(r));
 }
 
 TrafficReport SimComm::alltoallv(std::span<const Message> msgs) const {
+  AlltoallvPhase phase(*this);
+  for (const Message& m : msgs) phase.add(m.src, m.dst, m.bytes);
+  return phase.finish();
+}
+
+namespace {
+
+detail::RankTimeScratch& rank_time_scratch() {
+  thread_local detail::RankTimeScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+AlltoallvPhase::AlltoallvPhase(const SimComm& comm)
+    : comm_(&comm), scratch_(&rank_time_scratch()) {
+  ST_CHECK_MSG(!scratch_->open,
+               "an Alltoallv phase is already open on this thread");
+  scratch_->open = true;
+  if (scratch_->ranks.size() < static_cast<std::size_t>(comm.size()))
+    scratch_->ranks.resize(static_cast<std::size_t>(comm.size()));
+}
+
+AlltoallvPhase::~AlltoallvPhase() { release(); }
+
+void AlltoallvPhase::release() {
+  if (scratch_ == nullptr) return;
+  for (const int r : scratch_->touched)
+    scratch_->ranks[static_cast<std::size_t>(r)] = detail::RankTimes{};
+  scratch_->touched.clear();
+  scratch_->open = false;
+  scratch_ = nullptr;
+}
+
+TrafficReport AlltoallvPhase::finish() {
+  ST_CHECK_MSG(scratch_ != nullptr, "Alltoallv phase already finished");
   // Single-port endpoint model with a fabric contention floor:
   //
   //   serial     = max over ranks of max(Σ send times, Σ receive times)
@@ -38,40 +77,21 @@ TrafficReport SimComm::alltoallv(std::span<const Message> msgs) const {
   // one verbatim): here the simulated network plays the role of the real
   // machine, where endpoint serialization and link contention are what the
   // paper's measured 10–25% redistribution-time gains come from.
-  TrafficReport rep;
-  std::unordered_map<int, double> send_time;
-  std::unordered_map<int, double> recv_time;
-
-  for (const Message& m : msgs) {
-    require_rank(m.src);
-    require_rank(m.dst);
-    ST_CHECK_MSG(m.bytes >= 0, "negative message size " << m.bytes);
-    if (m.bytes == 0) continue;
-    if (m.src == m.dst) {
-      rep.local_bytes += m.bytes;
-      continue;
-    }
-    const int h = hops(m.src, m.dst);
-    const double t = topo_->pair_time(h, m.bytes);
-    rep.total_bytes += m.bytes;
-    rep.hop_bytes += m.bytes * h;
-    rep.num_messages += 1;
-    rep.max_hops = std::max(rep.max_hops, h);
-    send_time[m.src] += t;
-    recv_time[m.dst] += t;
-  }
-
   double serial = 0.0;
-  for (const auto& [r, t] : send_time) serial = std::max(serial, t);
-  for (const auto& [r, t] : recv_time) serial = std::max(serial, t);
+  for (const int r : scratch_->touched) {
+    const detail::RankTimes& t = scratch_->ranks[static_cast<std::size_t>(r)];
+    serial = std::max(serial, std::max(t.send, t.recv));
+  }
+  release();
   // Contended quantity: on direct networks messages occupy every link they
   // traverse (hop-bytes); on switched fabrics the core carries each byte
   // once regardless of the 2/4-hop switch path.
+  const Topology& topo = comm_->topology();
   const double contended_bytes = static_cast<double>(
-      topo_->is_direct_network() ? rep.hop_bytes : rep.total_bytes);
-  rep.modeled_time =
-      std::max(serial, contended_bytes / topo_->aggregate_capacity());
-  return rep;
+      topo.is_direct_network() ? rep_.hop_bytes : rep_.total_bytes);
+  rep_.modeled_time =
+      std::max(serial, contended_bytes / topo.aggregate_capacity());
+  return rep_;
 }
 
 TrafficReport SimComm::gatherv(std::span<const std::int64_t> bytes_per_rank,
@@ -79,11 +99,10 @@ TrafficReport SimComm::gatherv(std::span<const std::int64_t> bytes_per_rank,
   ST_CHECK_MSG(static_cast<int>(bytes_per_rank.size()) == size(),
                "gatherv needs one byte count per rank");
   require_rank(root);
-  std::vector<Message> msgs;
-  msgs.reserve(bytes_per_rank.size());
+  AlltoallvPhase phase(*this);
   for (int r = 0; r < size(); ++r)
-    msgs.push_back(Message{r, root, bytes_per_rank[static_cast<std::size_t>(r)]});
-  return alltoallv(msgs);
+    phase.add(r, root, bytes_per_rank[static_cast<std::size_t>(r)]);
+  return phase.finish();
 }
 
 TrafficReport SimComm::bcast(std::int64_t bytes, int root) const {

@@ -23,7 +23,10 @@
 /// RedistTimeModel (perfmodel/redist_model.hpp) and used only to predict.
 ///
 /// Every phase returns a TrafficReport with the modeled time plus the exact
-/// byte/hop-byte accounting used for the paper's Fig. 10 metric. Typed
+/// byte/hop-byte accounting used for the paper's Fig. 10 metric. A phase is
+/// priced either from a message list (SimComm::alltoallv) or message by
+/// message (AlltoallvPhase, which alltoallv is built on), so a caller that
+/// can enumerate its messages never has to materialize them. Typed
 /// exchange helpers actually move payload bytes so redistribution
 /// correctness (conservation) is testable end-to-end.
 
@@ -73,18 +76,26 @@ class SimComm {
   /// Both referents must outlive the communicator.
   SimComm(const Topology& topo, const Mapping& mapping);
 
-  [[nodiscard]] int size() const { return mapping_->num_ranks(); }
+  [[nodiscard]] int size() const {
+    return static_cast<int>(rank_node_.size());
+  }
   [[nodiscard]] const Topology& topology() const { return *topo_; }
   [[nodiscard]] const Mapping& mapping() const { return *mapping_; }
 
-  /// Hop distance between two ranks under the bound mapping.
-  [[nodiscard]] int hops(int rank_a, int rank_b) const {
-    return mapping_->rank_hops(*topo_, rank_a, rank_b);
+  /// Node that runs \p rank under the bound mapping.
+  [[nodiscard]] int node_of(int rank) const {
+    require_rank(rank);
+    return rank_node_[static_cast<std::size_t>(rank)];
   }
 
-  /// Price an Alltoallv phase described by its sparse message list.
-  /// Zero-byte and self messages cost nothing on the network but self
-  /// messages are tallied in local_bytes.
+  /// Hop distance between two ranks under the bound mapping.
+  [[nodiscard]] int hops(int rank_a, int rank_b) const {
+    return topo_->hops(node_of(rank_a), node_of(rank_b));
+  }
+
+  /// Price an Alltoallv phase described by its sparse message list, in
+  /// any order. Zero-byte and self messages cost nothing on the network
+  /// but self messages are tallied in local_bytes.
   [[nodiscard]] TrafficReport alltoallv(std::span<const Message> msgs) const;
 
   /// Price a Gatherv of \p bytes_per_rank[i] bytes from every rank i to
@@ -104,6 +115,85 @@ class SimComm {
 
   const Topology* topo_;
   const Mapping* mapping_;
+  /// mapping_->node_of_rank() of every rank, looked up once: hops() runs
+  /// for every priced or executed message.
+  std::vector<int> rank_node_;
+};
+
+namespace detail {
+
+/// One rank's serialized send and receive time in the open phase.
+struct RankTimes {
+  double send = 0.0;
+  double recv = 0.0;
+};
+
+struct RankTimeScratch {
+  std::vector<RankTimes> ranks;  ///< Dense, all-zero outside a phase.
+  std::vector<int> touched;      ///< Every rank with a nonzero entry.
+  bool open = false;
+
+  /// The entry of \p rank, recorded in `touched` on its first use: pair
+  /// times are positive, so an entry is all-zero until its first message.
+  RankTimes& use(int rank) {
+    RankTimes& r = ranks[static_cast<std::size_t>(rank)];
+    if (r.send == 0.0 && r.recv == 0.0) touched.push_back(rank);
+    return r;
+  }
+};
+
+}  // namespace detail
+
+/// One Alltoallv phase priced message by message — SimComm::alltoallv
+/// without the message list. add() the messages in the order a list would
+/// hold them and finish() returns, bit for bit, the TrafficReport
+/// alltoallv(list) returns: each rank's send and receive times are summed
+/// in add() order either way.
+///
+/// The per-rank sums live in dense thread-local scratch sized to the
+/// largest communicator seen on the thread, and only the ranks a phase
+/// touched are reset, so a phase costs O(messages) whatever size() is and
+/// allocates nothing in steady state. The destructor resets the scratch
+/// too, so a phase abandoned by an exception leaves nothing behind. At
+/// most one phase may be open per thread at a time.
+class AlltoallvPhase {
+ public:
+  explicit AlltoallvPhase(const SimComm& comm);
+  ~AlltoallvPhase();
+  AlltoallvPhase(const AlltoallvPhase&) = delete;
+  AlltoallvPhase& operator=(const AlltoallvPhase&) = delete;
+
+  /// Add one message of \p bytes from \p src to \p dst.
+  void add(int src, int dst, std::int64_t bytes) {
+    ST_CHECK_MSG(scratch_ != nullptr, "Alltoallv phase already finished");
+    const int src_node = comm_->node_of(src);
+    const int dst_node = comm_->node_of(dst);
+    ST_CHECK_MSG(bytes >= 0, "negative message size " << bytes);
+    if (bytes == 0) return;
+    if (src == dst) {
+      rep_.local_bytes += bytes;
+      return;
+    }
+    const Topology& topo = comm_->topology();
+    const int h = topo.hops(src_node, dst_node);
+    const double t = topo.pair_time(h, bytes);
+    rep_.total_bytes += bytes;
+    rep_.hop_bytes += bytes * h;
+    rep_.num_messages += 1;
+    rep_.max_hops = std::max(rep_.max_hops, h);
+    scratch_->use(src).send += t;
+    scratch_->use(dst).recv += t;
+  }
+
+  /// The priced phase; the phase takes no further messages.
+  [[nodiscard]] TrafficReport finish();
+
+ private:
+  void release();
+
+  const SimComm* comm_;
+  detail::RankTimeScratch* scratch_;
+  TrafficReport rep_;
 };
 
 /// Hook consulted once per message in exchange_payloads, after pricing
@@ -163,14 +253,12 @@ template <typename T>
 [[nodiscard]] ExchangeResult<T> exchange_payloads(
     const SimComm& comm, std::vector<TypedMessage<T>> msgs,
     PayloadFaultHook* faults = nullptr) {
-  std::vector<Message> sizes;
-  sizes.reserve(msgs.size());
-  for (const auto& m : msgs)
-    sizes.push_back(Message{m.src, m.dst,
-                            static_cast<std::int64_t>(m.payload.size() *
-                                                      sizeof(T))});
   ExchangeResult<T> out;
-  out.traffic = comm.alltoallv(sizes);
+  AlltoallvPhase phase(comm);
+  for (const auto& m : msgs)
+    phase.add(m.src, m.dst,
+              static_cast<std::int64_t>(m.payload.size() * sizeof(T)));
+  out.traffic = phase.finish();
   if (faults != nullptr) {
     std::size_t keep = 0;
     for (std::size_t i = 0; i < msgs.size(); ++i) {

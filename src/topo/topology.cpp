@@ -12,6 +12,9 @@ Torus3D::Torus3D(int dx, int dy, int dz, LinkParams link)
   ST_CHECK_MSG(dx >= 1 && dy >= 1 && dz >= 1,
                "torus dims must be >= 1, got " << dx << "x" << dy << "x"
                                                << dz);
+  plane_.reserve(static_cast<std::size_t>(dx) * static_cast<std::size_t>(dy));
+  for (int y = 0; y < dy; ++y)
+    for (int x = 0; x < dx; ++x) plane_.push_back(Coord3{x, y, 0});
 }
 
 int Torus3D::ring_distance(int a, int b, int dim) {
@@ -21,7 +24,11 @@ int Torus3D::ring_distance(int a, int b, int dim) {
 
 Coord3 Torus3D::coord(int n) const {
   require_node(n);
-  return Coord3{n % dx_, (n / dx_) % dy_, n / (dx_ * dy_)};
+  const int plane = dx_ * dy_;
+  const int z = n / plane;
+  Coord3 c = plane_[static_cast<std::size_t>(n - z * plane)];
+  c.z = z;
+  return c;
 }
 
 int Torus3D::node(const Coord3& c) const {

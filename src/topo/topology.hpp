@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -139,6 +140,10 @@ class Torus3D final : public ITopology {
 
  private:
   int dx_, dy_, dz_;
+  /// (x, y) of every position in one z-plane: coord() costs one division
+  /// instead of three, and hops() runs for every priced or executed
+  /// message.
+  std::vector<Coord3> plane_;
 };
 
 /// 2D mesh (no wraparound): hop distance is Manhattan distance. Used for
